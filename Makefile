@@ -4,27 +4,34 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
 # Hot-path benchmark tracking: make bench-json records the spatial/shard
-# scan fast paths, the coreset maintenance hot loops, and their baselines
+# scan fast paths, the coreset maintenance hot loops, the training step,
+# top-k compression, and their baselines
 # into $(BENCH_JSON), and appends the same results as one labelled JSONL
 # line to $(BENCH_HISTORY) so trends survive across runs;
 # cmd/bench-compare diffs a candidate file against the committed
 # $(BENCH_BASELINE) and fails on >15% ns/op regressions for the hot paths,
 # then prints the per-benchmark trend across the history file.
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR12.json
 BENCH_JSON ?= $(BENCH_BASELINE)
 BENCH_HISTORY ?= BENCH_HISTORY.jsonl
 BENCH_LABEL ?= local
-BENCH_FILTER := BenchmarkCandidatePairs|BenchmarkWorldTick|BenchmarkBEV|BenchmarkShardScan|BenchmarkEnsureCoreset|BenchmarkAbsorbCoreset|BenchmarkWindowAdvance|BenchmarkWindowRowAt|BenchmarkTrainTick
-BENCH_HOT := CandidatePairs,WorldTick,ShardScan,EnsureCoreset,AbsorbCoreset,WindowRowAt,TrainTick
-BENCH_PKGS := ./internal/core/ ./internal/world/ ./internal/shard/ ./internal/trace/
+BENCH_FILTER := BenchmarkCandidatePairs|BenchmarkWorldTick|BenchmarkBEV|BenchmarkShardScan|BenchmarkEnsureCoreset|BenchmarkAbsorbCoreset|BenchmarkWindowAdvance|BenchmarkWindowRowAt|BenchmarkTrainTick|BenchmarkTrainStep|BenchmarkTopK
+BENCH_HOT := CandidatePairs,WorldTick,ShardScan,EnsureCoreset,AbsorbCoreset,WindowRowAt,TrainTick,TrainStep,TopK
+BENCH_PKGS := ./internal/core/ ./internal/world/ ./internal/shard/ ./internal/trace/ ./internal/model/ ./internal/compress/
 
-.PHONY: build vet lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke doccheck ci
+.PHONY: build vet fmtcheck lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke doccheck ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; the target lists the offenders.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmtcheck: gofmt -l reports:"; echo "$$out"; exit 1; \
+	fi
 
 # Fetching the pinned staticcheck needs the module proxy; offline boxes
 # (this repo carries no vendored deps) degrade to a warning so make ci
@@ -193,4 +200,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet doccheck lint test race telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke
+ci: build vet fmtcheck doccheck lint test race telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke

@@ -16,10 +16,8 @@ import (
 	"sync"
 	"testing"
 
-	"lbchat/internal/core"
 	"lbchat/internal/eval"
 	"lbchat/internal/experiments"
-	"lbchat/internal/simrand"
 )
 
 // benchScale trims the default bench scale so the full suite (10 table and
@@ -232,23 +230,6 @@ func BenchmarkFig3(b *testing.B) {
 		if !math.IsNaN(ratio) {
 			b.ReportMetric(ratio, "sco_slowdown_x")
 		}
-	}
-}
-
-// BenchmarkTrainStep measures one local training step (the inner loop of
-// every vehicle's Algorithm 2 line 3).
-func BenchmarkTrainStep(b *testing.B) {
-	env := getBenchEnv(b)
-	ds := env.FreshDatasets()[0]
-	run, err := env.RunProtocol(experiments.ProtoLbChat, true, func(c *core.Config) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pol := run.Fleet[0]
-	rng := simrand.New(99)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pol.TrainStep(ds.SampleBatch(16, rng))
 	}
 }
 

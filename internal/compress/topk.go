@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -78,6 +79,14 @@ func PsiForK(numParams, k int) float64 {
 
 // TopK sparsifies a dense parameter vector to its k largest-magnitude
 // entries. k is clamped to [0, len(flat)].
+//
+// The threshold is the magnitude that ascending order puts at position
+// n−k, found by quickselect in O(n). The kept set is every entry above
+// the threshold plus the lowest-index entries equal to it, up to k,
+// emitted in index order. NaN ranks below every magnitude and is never
+// kept for k < n; if the threshold itself falls on a NaN, nothing is
+// kept. φ fitting calls this once per ψ sample on each side of a chat,
+// so it must not sort.
 func TopK(flat []float64, k int) *Sparse {
 	n := len(flat)
 	if k < 0 {
@@ -99,37 +108,94 @@ func TopK(flat []float64, k int) *Sparse {
 		}
 		return s
 	}
-	// Select the k largest magnitudes via a threshold found by sorting a
-	// copy of magnitudes. O(n log n) but n is the parameter count and this
-	// runs once per exchange, not per training step.
+	// Magnitudes with NaN mapped below every real one (−1), so the select
+	// compares with a plain total order.
 	mags := make([]float64, n)
 	for i, v := range flat {
-		mags[i] = math.Abs(v)
+		if m := math.Abs(v); m == m {
+			mags[i] = m
+		} else {
+			mags[i] = -1
+		}
 	}
-	sorted := append([]float64(nil), mags...)
-	sort.Float64s(sorted)
-	threshold := sorted[n-k]
-	// First pass: everything strictly above threshold.
+	threshold := selectNth(mags, n-k)
+	if threshold < 0 {
+		threshold = math.NaN()
+	}
+	above := 0
+	for _, m := range mags {
+		if m > threshold {
+			above++
+		}
+	}
+	ties := k - above
 	s.Indices = make([]int, 0, k)
 	s.Values = make([]float64, 0, k)
 	for i, v := range flat {
-		if mags[i] > threshold {
+		m := math.Abs(v)
+		if m > threshold || (m == threshold && ties > 0) {
+			if m == threshold {
+				ties--
+			}
 			s.Indices = append(s.Indices, i)
 			s.Values = append(s.Values, v)
 		}
 	}
-	// Second pass: fill remaining slots with ties at the threshold.
-	for i, v := range flat {
-		if len(s.Indices) >= k {
-			break
-		}
-		if mags[i] == threshold {
-			s.Indices = append(s.Indices, i)
-			s.Values = append(s.Values, v)
-		}
-	}
-	sortPairs(s)
 	return s
+}
+
+// selectNth returns the value that ascending order puts at position p of
+// a, reordering a in place. a must hold no NaN. Three-way partitioning
+// keeps runs of equal values linear; a depth budget falls back to sorting
+// the remaining range, bounding the worst case at O(n log n).
+func selectNth(a []float64, p int) float64 {
+	lo, hi := 0, len(a)
+	budget := 2 * bits.Len(uint(len(a)))
+	for hi-lo > 1 {
+		if budget == 0 {
+			sort.Float64s(a[lo:hi])
+			return a[p]
+		}
+		budget--
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// [lo,lt) < pivot, [lt,i) == pivot, [gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case p < lt:
+			hi = lt
+		case p >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	return a[p]
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Compress sparsifies flat to the level ψ (relative payload size).
@@ -160,20 +226,4 @@ func (s *Sparse) ApplyAsUpdate(base []float64) ([]float64, error) {
 		out[idx] = s.Values[i]
 	}
 	return out, nil
-}
-
-func sortPairs(s *Sparse) {
-	type pair struct {
-		i int
-		v float64
-	}
-	ps := make([]pair, len(s.Indices))
-	for j := range s.Indices {
-		ps[j] = pair{s.Indices[j], s.Values[j]}
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].i < ps[b].i })
-	for j, p := range ps {
-		s.Indices[j] = p.i
-		s.Values[j] = p.v
-	}
 }

@@ -286,6 +286,10 @@ type Engine struct {
 	now        float64
 	nextRecord float64
 	initFlat   []float64
+	// deltaScratch holds CompressDelta's model delta, one model's worth.
+	// Exchanges run serially on the engine goroutine, and TopK copies the
+	// kept values out, so no caller sees the buffer.
+	deltaScratch []float64
 
 	// tickIndex counts completed engine ticks; it is the integer key of the
 	// due-time calendar (e.now accumulates float rounding, tickIndex never
@@ -1117,7 +1121,10 @@ func (e *Engine) CompressReconstruct(flat []float64, psi float64) []float64 {
 // delta coordinates degrades the model far more gracefully than zeroing raw
 // weights [22].
 func (e *Engine) CompressDelta(flat []float64, psi float64) *compress.Sparse {
-	delta := make([]float64, len(flat))
+	if cap(e.deltaScratch) < len(flat) {
+		e.deltaScratch = make([]float64, len(flat))
+	}
+	delta := e.deltaScratch[:len(flat)]
 	for i, v := range flat {
 		delta[i] = v - e.initFlat[i]
 	}

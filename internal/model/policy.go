@@ -91,6 +91,13 @@ type Policy struct {
 	heads  [dataset.NumCommands]*nn.Dense
 	opt    *nn.Adam
 	params nn.ParamSet
+
+	// batchX and batchY are the input and target scratch that buildBatch
+	// fills on every TrainStep and Loss call, overwritten by the next one.
+	// They grow to the largest batch the policy has been given and never
+	// shrink, so they add at most one such batch — (InputSize+TargetSize)
+	// float64s per sample — to the policy's heap.
+	batchX, batchY *tensor.Dense
 }
 
 // New builds a policy with deterministic initialization from seed. All
@@ -223,11 +230,15 @@ func scatterRows(dst, src *tensor.Dense, idxs []int) {
 	}
 }
 
-func buildBatch(cfg Config, items []dataset.Weighted) (*tensor.Dense, *tensor.Dense, []dataset.Command, []float64) {
+// buildBatch fills the policy's batch scratch (batchX, batchY) from items
+// and returns it with the batch's commands and weights. items must be
+// non-empty.
+func (p *Policy) buildBatch(items []dataset.Weighted) (*tensor.Dense, *tensor.Dense, []dataset.Command, []float64) {
 	batch := len(items)
-	in := cfg.InputSize()
-	x := tensor.New(batch, in)
-	y := tensor.New(batch, cfg.TargetSize())
+	in, tgt := p.cfg.InputSize(), p.cfg.TargetSize()
+	p.batchX = tensor.Reuse2D(p.batchX, batch, in)
+	p.batchY = tensor.Reuse2D(p.batchY, batch, tgt)
+	x, y := p.batchX, p.batchY
 	cmds := make([]dataset.Command, batch)
 	weights := make([]float64, batch)
 	for i, it := range items {
@@ -235,10 +246,15 @@ func buildBatch(cfg Config, items []dataset.Weighted) (*tensor.Dense, *tensor.De
 		for j, v := range it.Sample.BEV {
 			row[j] = float64(v)
 		}
+		// Reused scratch: zero what a short sample leaves unwritten.
+		for j := len(it.Sample.BEV); j < in-3; j++ {
+			row[j] = 0
+		}
 		row[in-3] = it.Sample.Speed
 		row[in-2] = it.Sample.NavDist
 		row[in-1] = it.Sample.RedDist
-		copy(y.Data()[i*cfg.TargetSize():(i+1)*cfg.TargetSize()], it.Sample.Targets)
+		ty := y.Data()[i*tgt : (i+1)*tgt]
+		clear(ty[copy(ty, it.Sample.Targets):])
 		cmds[i] = it.Sample.Command
 		weights[i] = it.Weight
 	}
@@ -246,12 +262,14 @@ func buildBatch(cfg Config, items []dataset.Weighted) (*tensor.Dense, *tensor.De
 }
 
 // TrainStep performs one optimizer step on the weighted batch and returns
-// the Eq. (6) training loss before the update.
+// its Eq. (6) training loss. The weighted risk and the σ command-imbalance
+// term come from the forward pass before the update; the λ1 L2 term is
+// taken on the parameters after the optimizer step.
 func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 	if len(items) == 0 {
 		return 0
 	}
-	x, y, cmds, weights := buildBatch(p.cfg, items)
+	x, y, cmds, weights := p.buildBatch(items)
 	preds, byCmd := p.forward(x, cmds)
 
 	batch := len(items)
@@ -301,7 +319,7 @@ func (p *Policy) TrainStep(items []dataset.Weighted) float64 {
 		dHidden := p.heads[h].Backward(sub)
 		scatterRows(hiddenGrad, dHidden, idxs)
 	}
-	p.trunk.Backward(hiddenGrad)
+	p.trunk.BackwardParams(hiddenGrad)
 	// λ1 term: L2 structural risk enters as weight decay on the gradient.
 	if p.cfg.L2Penalty > 0 {
 		for _, prm := range p.params {
@@ -323,7 +341,7 @@ func (p *Policy) PerSampleLosses(items []dataset.Weighted) []float64 {
 	if len(items) == 0 {
 		return nil
 	}
-	x, y, cmds, _ := buildBatch(p.cfg, items)
+	x, y, cmds, _ := p.buildBatch(items)
 	preds, _ := p.forward(x, cmds)
 	tgt := p.cfg.TargetSize()
 	out := make([]float64, len(items))

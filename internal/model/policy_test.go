@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"lbchat/internal/dataset"
+	"lbchat/internal/nn"
 	"lbchat/internal/simrand"
+	"lbchat/internal/tensor"
 )
 
 func tinyConfig() Config {
@@ -289,5 +291,63 @@ func TestConvVariantTrains(t *testing.T) {
 	}
 	if after := pol.Loss(data); after >= before {
 		t.Errorf("conv policy failed to learn: %v -> %v", before, after)
+	}
+}
+
+// fullBackward hides its layer's params-only backward path from
+// nn.Sequential, so the trunk's first layer computes dLoss/dInput as well —
+// the reference path TrainStep used before it skipped that gradient.
+type fullBackward struct {
+	nn.Layer
+	calls int
+}
+
+func (f *fullBackward) Backward(grad *tensor.Dense) *tensor.Dense {
+	f.calls++
+	return f.Layer.Backward(grad)
+}
+
+func TestTrainStepMatchesFullInputGradient(t *testing.T) {
+	for _, useConv := range []bool{false, true} {
+		cfg := tinyConfig()
+		cfg.UseConv = useConv
+		fast, err := New(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := New(cfg, 3)
+		oracle := &fullBackward{Layer: ref.trunk.Layers[0]}
+		ref.trunk.Layers[0] = oracle
+		rng := simrand.New(4)
+		data := syntheticSet(cfg, 64, rng)
+		const steps = 20
+		for step := 0; step < steps; step++ {
+			// Alternate batch sizes so the reused batch scratch shrinks
+			// and grows between steps.
+			batch := make([]dataset.Weighted, 8+8*(step%2))
+			for i := range batch {
+				batch[i] = data[rng.Intn(len(data))]
+			}
+			lf, lr := fast.TrainStep(batch), ref.TrainStep(batch)
+			if math.Float64bits(lf) != math.Float64bits(lr) {
+				t.Fatalf("conv=%v step %d: loss %v, reference %v", useConv, step, lf, lr)
+			}
+			ff, fr := fast.Flat(), ref.Flat()
+			for i := range ff {
+				if math.Float64bits(ff[i]) != math.Float64bits(fr[i]) {
+					t.Fatalf("conv=%v step %d: param %d = %v, reference %v", useConv, step, i, ff[i], fr[i])
+				}
+			}
+		}
+		if oracle.calls != steps {
+			t.Fatalf("conv=%v: reference computed the input gradient %d times, want %d", useConv, oracle.calls, steps)
+		}
+		// A Loss after the batch scratch has grown and shrunk must match
+		// one from a policy whose scratch is fresh.
+		fast.Loss(data)
+		small := data[:5]
+		if got, want := fast.Loss(small), fast.Clone().Loss(small); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("conv=%v: loss on reused scratch %v, fresh %v", useConv, got, want)
+		}
 	}
 }

@@ -84,9 +84,19 @@ func (c *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
+	c.dx = tensor.Reuse2D(c.dx, grad.Shape()[0], c.InSize())
+	c.backward(grad, c.dx)
+	return c.dx
+}
+
+// backwardParams accumulates dW and db without the input gradient.
+func (c *Conv2D) backwardParams(grad *tensor.Dense) { c.backward(grad, nil) }
+
+// backward accumulates the parameter gradients and, when dx is non-nil,
+// writes dLoss/dInput into it. The parameter gradients do not depend on
+// whether dx is computed.
+func (c *Conv2D) backward(grad, dx *tensor.Dense) {
 	batch := grad.Shape()[0]
-	c.dx = tensor.Reuse2D(c.dx, batch, c.InSize())
-	dx := c.dx
 	spatial := c.OutH * c.OutW
 	wg := c.W.Grad
 	bg := c.B.Grad.Data()
@@ -107,6 +117,9 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 		dW := c.dW
 		tensor.MatMulTransAInto(dW, g, c.cols[s])
 		wg.AddInPlace(dW)
+		if dx == nil {
+			continue
+		}
 		// dCols = g · W → (spatial, inC*k*k), then scatter back to image.
 		c.dCols = tensor.Reuse2D(c.dCols, spatial, c.InC*c.Kernel*c.Kernel)
 		dCols := c.dCols
@@ -114,7 +127,6 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 		c.dImg = tensor.Col2ImInto(c.dImg, dCols, c.InC, c.InH, c.InW, c.Kernel, c.Stride, c.Pad)
 		copy(dx.Data()[s*c.InSize():(s+1)*c.InSize()], c.dImg.Data())
 	}
-	return dx
 }
 
 // Params implements Layer.

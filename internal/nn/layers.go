@@ -77,8 +77,41 @@ func (d *Dense) Forward(x *tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// paramBackwarder is implemented by layers that can accumulate their
+// parameter gradients without computing dLoss/dInput. Sequential uses it on
+// its first layer, whose input gradient nobody reads (see BackwardParams).
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Dense)
+}
+
+var (
+	_ paramBackwarder = (*Dense)(nil)
+	_ paramBackwarder = (*Conv2D)(nil)
+	_ paramBackwarder = (*SplitTail)(nil)
+)
+
+// backwardParams runs l's params-only backward, or its full Backward when
+// it has none.
+func backwardParams(l Layer, grad *tensor.Dense) {
+	if pb, ok := l.(paramBackwarder); ok {
+		pb.backwardParams(grad)
+		return
+	}
+	l.Backward(grad)
+}
+
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
+	d.backwardParams(grad)
+	// dx = grad·Wᵀ
+	d.dx = tensor.Reuse2D(d.dx, grad.Shape()[0], d.In)
+	tensor.MatMulTransBInto(d.dx, grad, d.W.Value)
+	return d.dx
+}
+
+// backwardParams accumulates dW and db only; Backward adds dx on top, so
+// both paths leave bit-identical parameter gradients.
+func (d *Dense) backwardParams(grad *tensor.Dense) {
 	batch := grad.Shape()[0]
 	// dW += xᵀ·grad
 	d.wGrad = tensor.Reuse2D(d.wGrad, d.In, d.Out)
@@ -94,11 +127,6 @@ func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 			bg[j] += gv
 		}
 	}
-	// dx = grad·Wᵀ
-	d.dx = tensor.Reuse2D(d.dx, batch, d.In)
-	dx := d.dx
-	tensor.MatMulTransBInto(dx, grad, d.W.Value)
-	return dx
 }
 
 // Params implements Layer.
@@ -222,6 +250,21 @@ func (s *Sequential) Backward(grad *tensor.Dense) *tensor.Dense {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// BackwardParams is Backward for a network whose input gradient is not
+// needed: every layer accumulates its parameter gradients exactly as in
+// Backward, but the first layer skips computing dLoss/dInput when it can
+// (Dense, Conv2D and a SplitTail around either). For a dense first layer
+// that drops one of its three equal-size matmuls.
+func (s *Sequential) BackwardParams(grad *tensor.Dense) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i >= 1; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	backwardParams(s.Layers[0], grad)
 }
 
 // Params implements Layer.

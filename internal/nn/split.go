@@ -51,12 +51,7 @@ func (s *SplitTail) Forward(x *tensor.Dense) *tensor.Dense {
 func (s *SplitTail) Backward(grad *tensor.Dense) *tensor.Dense {
 	batch, outCols := grad.Shape()[0], grad.Shape()[1]
 	innerCols := outCols - s.Tail
-	s.innerGrad = tensor.Reuse2D(s.innerGrad, batch, innerCols)
-	innerGrad := s.innerGrad
-	for b := 0; b < batch; b++ {
-		copy(innerGrad.Data()[b*innerCols:(b+1)*innerCols], grad.Data()[b*outCols:b*outCols+innerCols])
-	}
-	dHead := s.Inner.Backward(innerGrad)
+	dHead := s.Inner.Backward(s.splitGrad(grad))
 	headCols := dHead.Shape()[1]
 	inCols := headCols + s.Tail
 	s.dx = tensor.Reuse2D(s.dx, batch, inCols)
@@ -66,6 +61,23 @@ func (s *SplitTail) Backward(grad *tensor.Dense) *tensor.Dense {
 		copy(dx.Data()[b*inCols+headCols:(b+1)*inCols], grad.Data()[b*outCols+innerCols:(b+1)*outCols])
 	}
 	return dx
+}
+
+// backwardParams accumulates the inner layer's parameter gradients without
+// computing dLoss/dInput (the bypassed tail has no parameters).
+func (s *SplitTail) backwardParams(grad *tensor.Dense) {
+	backwardParams(s.Inner, s.splitGrad(grad))
+}
+
+// splitGrad copies the inner layer's columns of grad into scratch.
+func (s *SplitTail) splitGrad(grad *tensor.Dense) *tensor.Dense {
+	batch, outCols := grad.Shape()[0], grad.Shape()[1]
+	innerCols := outCols - s.Tail
+	s.innerGrad = tensor.Reuse2D(s.innerGrad, batch, innerCols)
+	for b := 0; b < batch; b++ {
+		copy(s.innerGrad.Data()[b*innerCols:(b+1)*innerCols], grad.Data()[b*outCols:b*outCols+innerCols])
+	}
+	return s.innerGrad
 }
 
 // Params implements Layer.
