@@ -11,7 +11,7 @@ STATICCHECK_VERSION ?= 2025.1
 # cmd/bench-compare diffs a candidate file against the committed
 # $(BENCH_BASELINE) and fails on >15% ns/op regressions for the hot paths,
 # then prints the per-benchmark trend across the history file.
-BENCH_BASELINE ?= BENCH_PR12.json
+BENCH_BASELINE ?= BENCH_PR13.json
 BENCH_JSON ?= $(BENCH_BASELINE)
 BENCH_HISTORY ?= BENCH_HISTORY.jsonl
 BENCH_LABEL ?= local
@@ -19,7 +19,7 @@ BENCH_FILTER := BenchmarkCandidatePairs|BenchmarkWorldTick|BenchmarkBEV|Benchmar
 BENCH_HOT := CandidatePairs,WorldTick,ShardScan,EnsureCoreset,AbsorbCoreset,WindowRowAt,TrainTick,TrainStep,TopK
 BENCH_PKGS := ./internal/core/ ./internal/world/ ./internal/shard/ ./internal/trace/ ./internal/model/ ./internal/compress/
 
-.PHONY: build vet fmtcheck lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke doccheck ci
+.PHONY: build vet fmtcheck lint test race bench bench-json bench-compare bench-pprof scale-smoke telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke doccheck ci
 
 build:
 	$(GO) build ./...
@@ -167,27 +167,6 @@ coreset-smoke:
 	fi
 	rm -rf $(TMPDIR_CORESET)
 
-# A/B check of the due-time scheduler arms under the race detector. Unlike
-# the coreset arms, the calendar queue and the legacy per-tick fleet scan
-# must produce BYTE-IDENTICAL event streams — the wheel changes how due
-# vehicles are discovered, never which vehicles are due or in what order —
-# so the check is cross-arm equality, plus calendar determinism across a
-# parallel sharded run (scheduler stats flow through a side channel, never
-# the event stream).
-sched-smoke:
-	$(eval TMPDIR_SCHED := $(shell mktemp -d))
-	$(GO) run -race ./cmd/lbchat-sim -scale test -vehicles 4 -duration 120 \
-		-workers 1 -telemetry-out $(TMPDIR_SCHED)/calendar.jsonl > /dev/null
-	$(GO) run -race ./cmd/lbchat-sim -scale test -vehicles 4 -duration 120 \
-		-legacy-due-scan -workers 1 \
-		-telemetry-out $(TMPDIR_SCHED)/legacy.jsonl > /dev/null
-	cmp $(TMPDIR_SCHED)/calendar.jsonl $(TMPDIR_SCHED)/legacy.jsonl
-	$(GO) run -race ./cmd/lbchat-sim -scale test -vehicles 4 -duration 120 \
-		-workers 4 -shards 2 \
-		-telemetry-out $(TMPDIR_SCHED)/calendar-parallel.jsonl > /dev/null
-	cmp $(TMPDIR_SCHED)/calendar.jsonl $(TMPDIR_SCHED)/calendar-parallel.jsonl
-	rm -rf $(TMPDIR_SCHED)
-
 # Every internal package must carry its godoc in a dedicated doc.go opening
 # with the canonical "// Package <name>" sentence.
 doccheck:
@@ -200,4 +179,4 @@ doccheck:
 		fi; \
 	done; exit $$fail
 
-ci: build vet fmtcheck doccheck lint test race telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke sched-smoke
+ci: build vet fmtcheck doccheck lint test race telemetry-smoke stream-smoke remote-stream-smoke coreset-smoke

@@ -76,8 +76,8 @@ func (e *Engine) EnsureCoreset(v *Vehicle) (*coreset.Coreset, error) {
 // vehicle's partition tree, rebuilds the dirty leaves with the current
 // policy's losses, and re-merges only the invalidated tree paths. The
 // emitted CoresetRebuilt event matches the full arm's; the leaf/merge stats
-// flow through the CoresetObserver side channel only, so the event stream
-// stays identical in shape across arms and worker/shard counts.
+// flow through the Metrics side channel only, so the event stream stays
+// identical in shape across arms and worker/shard counts.
 func (e *Engine) refreshCoresetTree(v *Vehicle, size int) (*coreset.Coreset, error) {
 	if v.Tree == nil {
 		method := e.Cfg.CoresetMethod
@@ -93,13 +93,10 @@ func (e *Engine) refreshCoresetTree(v *Vehicle, size int) (*coreset.Coreset, err
 	v.Core = cs
 	v.CoreBuiltAt = e.now
 	e.Emit(telemetry.CoresetRebuilt{Time: e.now, Vehicle: v.ID, Size: cs.Len()})
-	if e.coresetObs != nil {
-		e.coresetObs.ObserveCoresetRefresh(telemetry.CoresetRefresh{
-			Vehicle:       v.ID,
-			LeavesRebuilt: stats.LeavesRebuilt,
-			LeavesCached:  stats.LeavesCached,
-			TreeMerges:    stats.TreeMerges,
-		})
+	if e.obs != nil {
+		e.obs.Count(telemetry.MCoresetLeavesRebuilt, int64(stats.LeavesRebuilt))
+		e.obs.Count(telemetry.MCoresetLeavesCached, int64(stats.LeavesCached))
+		e.obs.Count(telemetry.MCoresetTreeMerges, int64(stats.TreeMerges))
 	}
 	return cs, nil
 }

@@ -122,20 +122,6 @@ type Config struct {
 	// exists as the A/B reference for quality tests and the full-rebuild
 	// benchmark baseline.
 	DisableIncrementalCoreset bool
-	// LegacyDueScan forces trainTick's due-vehicle discovery down the
-	// original per-tick O(N) serial scan of the whole fleet instead of the
-	// due-time calendar queue (internal/sched.Calendar, DESIGN.md §15),
-	// which pops exactly the due vehicles in O(k). Results are byte-identical
-	// either way — both arms surface the same due sets in the same ascending
-	// vehicle order — so the flag exists as the A/B reference for determinism
-	// tests and the trainTick benchmark baseline, not as a tuning knob.
-	LegacyDueScan bool
-	// DisableSpatialIndex forces pair enumeration and contact scanning down
-	// the pre-index O(N²) loops (DESIGN.md §10). Results are bit-identical
-	// either way — the flag exists as the A/B reference for determinism
-	// tests and the brute-force benchmark baseline, not as a tuning knob.
-	// It takes precedence over Shards.
-	DisableSpatialIndex bool
 	// Shards partitions encounter scans into grid regions (internal/shard,
 	// DESIGN.md §11): each region enumerates its radio-range pairs locally
 	// (with halo copies of border vehicles) on the parallel pool, and the
@@ -298,13 +284,12 @@ type Engine struct {
 	// invTick is 1/TickSeconds, hoisted so dueTick multiplies instead of
 	// divides on every re-enqueue.
 	invTick float64
-	// calendar is the due-time calendar queue over vehicle ids (nil on the
-	// -legacy-due-scan arm): each vehicle is enqueued at the tick its
-	// nextTrain comes due and re-enqueued after every step, so discovering
-	// the tick's due set costs O(due), not O(fleet). Buckets are keyed
-	// never-late (see dueTick) and lazily re-checked at dequeue, so float
-	// drift between e.now and tickIndex can cost a harmless early pop but
-	// never a late one.
+	// calendar is the due-time calendar queue over vehicle ids (DESIGN.md
+	// §15): each vehicle is enqueued at the tick its nextTrain comes due and
+	// re-enqueued after every step, so discovering the tick's due set costs
+	// O(due), not O(fleet). Buckets are keyed never-late (see dueTick) and
+	// lazily re-checked at dequeue, so float drift between e.now and
+	// tickIndex can cost a harmless early pop but never a late one.
 	calendar *sched.Calendar
 	// dueIDs and popScratch are trainTick's reused id scratch: the tick's
 	// due set in ascending vehicle order, and the raw calendar pop feeding
@@ -321,10 +306,12 @@ type Engine struct {
 	stepObsFn func(i int)
 	probeFn   func(i int)
 
-	// tel and wall cache the configured telemetry sink and its optional
-	// wall-clock side channel; both nil when telemetry is disabled.
-	tel  telemetry.Sink
-	wall telemetry.WallObserver
+	// tel and obs cache the configured telemetry sink and its optional
+	// Metrics side channel (wall times, shard, scheduler, coreset-cache and
+	// trace-window statistics, never the event stream); both nil when
+	// telemetry is disabled.
+	tel telemetry.Sink
+	obs telemetry.Metrics
 	// stepScratch carries per-vehicle training outcomes out of the parallel
 	// phase so events are emitted serially in vehicle-index order.
 	stepScratch []stepOutcome
@@ -346,24 +333,15 @@ type Engine struct {
 	freeScratch []int
 	openScratch [][2]int
 	matchTaken  []bool
-	// shardScan replaces spatialIdx for pair enumeration when Cfg.Shards > 1
-	// (and the brute-force flag is off); shardObs is the telemetry sink's
-	// optional per-shard statistics side channel.
+	// shardScan replaces spatialIdx for pair enumeration when
+	// Cfg.Shards > 1.
 	shardScan *shard.Scanner
-	shardObs  telemetry.ShardObserver
 	// grouper batches per-vehicle phase work (train steps, probe
 	// evaluations) by owning grid region when Cfg.Shards > 1, using the same
-	// region geometry as shardScan; schedObs is the sink's optional
-	// scheduling-statistics side channel, and lossScratch the reused
-	// per-vehicle loss buffer probe evaluation reduces from in id order.
+	// region geometry as shardScan; lossScratch is the reused per-vehicle
+	// loss buffer probe evaluation reduces from in id order.
 	grouper     *shard.Grouper
-	schedObs    telemetry.SchedObserver
 	lossScratch []float64
-	// coresetObs is the telemetry sink's optional incremental-refresh side
-	// channel: leaf rebuild/cache and tree-merge counts flow through it,
-	// never the event stream, so both coreset arms emit identical event
-	// kinds.
-	coresetObs telemetry.CoresetObserver
 }
 
 // stepOutcome is one vehicle's training work within one tick.
@@ -402,31 +380,16 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		tel:   cfg.Telemetry,
 	}
 	e.spatialIdx = spatial.New(rm.Params.MaxRangeMeters)
-	if cfg.Shards > 1 && !cfg.DisableSpatialIndex {
-		e.shardScan = shard.NewScanner(cfg.Shards, cfg.Workers)
-	}
 	if cfg.Shards > 1 {
+		e.shardScan = shard.NewScanner(cfg.Shards, cfg.Workers)
 		e.grouper = shard.NewGrouper(cfg.Shards)
 	}
 	e.invTick = 1 / cfg.TickSeconds
 	e.stepFn = e.stepDue
 	e.stepObsFn = e.stepDueObserved
 	e.probeFn = e.probeOne
-	if !cfg.LegacyDueScan {
-		e.calendar = sched.NewCalendar(len(datasets))
-	}
-	if w, ok := e.tel.(telemetry.WallObserver); ok {
-		e.wall = w
-	}
-	if o, ok := e.tel.(telemetry.ShardObserver); ok {
-		e.shardObs = o
-	}
-	if o, ok := e.tel.(telemetry.CoresetObserver); ok {
-		e.coresetObs = o
-	}
-	if o, ok := e.tel.(telemetry.SchedObserver); ok {
-		e.schedObs = o
-	}
+	e.calendar = sched.NewCalendar(len(datasets))
+	e.obs, _ = e.tel.(telemetry.Metrics)
 	if e.tel != nil {
 		e.contactOpen = make(map[[2]int]float64)
 	}
@@ -436,18 +399,8 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 		// distances up to its deadline (≤ TimeBudget) past its start, with
 		// one tick of slack for the snap-to-tick clamp.
 		w.Reserve(cfg.TraceWindowBehind, cfg.ContactHorizon+cfg.TimeBudget+cfg.TickSeconds)
-		if obs, ok := e.tel.(telemetry.TraceObserver); ok {
-			w.SetChunkObserver(func(op trace.ChunkOp) {
-				obs.ObserveTraceChunk(telemetry.TraceChunk{
-					Op:       op.Kind.String(),
-					Chunk:    op.Chunk,
-					Ticks:    op.Ticks,
-					Resident: op.Resident,
-					Depth:    op.Depth,
-					Retries:  op.Retries,
-					WaitNs:   op.WaitNs,
-				})
-			})
+		if e.obs != nil {
+			w.SetChunkObserver(e.countChunkOp)
 		}
 		if err := w.Advance(0); err != nil {
 			return nil, fmt.Errorf("core: loading initial trace window: %w", err)
@@ -483,12 +436,31 @@ func NewEngine(cfg Config, tr trace.Source, datasets []*dataset.Dataset, rm *rad
 	for i := range e.allIDs {
 		e.allIDs[i] = int32(i)
 	}
-	if e.calendar != nil {
-		for _, v := range e.Vehicles {
-			e.calendar.Schedule(int32(v.ID), e.dueTick(v.nextTrain))
-		}
+	for _, v := range e.Vehicles {
+		e.calendar.Schedule(int32(v.ID), e.dueTick(v.nextTrain))
 	}
 	return e, nil
+}
+
+// countChunkOp counts one trace-window chunk operation on the Metrics side
+// channel, so streamed and resident runs emit byte-identical events.
+func (e *Engine) countChunkOp(op trace.ChunkOp) {
+	switch op.Kind {
+	case trace.OpLoad:
+		e.obs.Count(telemetry.MTraceLoads, 1)
+		if op.Retries > 0 {
+			e.obs.Count(telemetry.MTraceFetchRetries, int64(op.Retries))
+		}
+		if op.WaitNs > 0 {
+			e.obs.Count(telemetry.MTraceFetchWaitNs, op.WaitNs)
+		}
+	case trace.OpEvict:
+		e.obs.Count(telemetry.MTraceEvicts, 1)
+	case trace.OpPrefetch:
+		e.obs.Count(telemetry.MTracePrefetches, 1)
+		e.obs.Observe(telemetry.MTracePrefetchDepth, float64(op.Depth))
+	}
+	e.obs.Observe(telemetry.MTraceResident, float64(op.Resident))
 }
 
 // Now returns the current virtual time (s).
@@ -582,34 +554,15 @@ func (e *Engine) Emit(ev telemetry.Event) {
 
 // scanContacts diffs the fleet's in-range pair set against the previous
 // tick and emits contact open/close events. It runs only with telemetry
-// enabled. The fast path enumerates in-range pairs via the spatial index
-// and merges them with the sorted open-contact set; every pair produces at
-// most one event and both sequences are (a, b)-ascending, so the merged
-// event stream is byte-identical to the full O(N²) diff the brute-force
-// path (Cfg.DisableSpatialIndex) still performs.
+// enabled. It enumerates in-range pairs via the spatial index (or sharded
+// scanner) and merges them with the sorted open-contact set; every pair
+// produces at most one event and both sequences are (a, b)-ascending, so
+// the merged event stream equals a full O(N²) pairwise diff.
 func (e *Engine) scanContacts() {
 	if e.tel == nil {
 		return
 	}
 	maxRange := e.Radio.Params.MaxRangeMeters
-	if e.Cfg.DisableSpatialIndex {
-		for a := 0; a < len(e.Vehicles); a++ {
-			for b := a + 1; b < len(e.Vehicles); b++ {
-				key := [2]int{a, b}
-				openedAt, open := e.contactOpen[key]
-				in := e.Trace.Distance(a, b, e.now) <= maxRange
-				switch {
-				case in && !open:
-					e.contactOpen[key] = e.now
-					e.tel.Emit(telemetry.ContactOpen{Time: e.now, A: a, B: b})
-				case !in && open:
-					delete(e.contactOpen, key)
-					e.tel.Emit(telemetry.ContactClose{Time: e.now, A: a, B: b, Duration: e.now - openedAt})
-				}
-			}
-		}
-		return
-	}
 	// One contiguous row read covers every vehicle this tick; the copy into
 	// scratch keeps the slice valid across the window's next Advance.
 	pts := append(e.spatialPts[:0], e.Trace.RowAt(e.now)...)
@@ -691,13 +644,12 @@ func (e *Engine) workers() int { return parallel.Resolve(e.Cfg.Workers) }
 func (e *Engine) rangePairs(pts []geom.Point, r float64) []spatial.Pair {
 	if e.shardScan != nil {
 		e.pairScratch = e.shardScan.Scan(e.pairScratch[:0], pts, r)
-		if e.shardObs != nil {
-			stats := e.shardScan.Stats()
-			for i, st := range stats {
-				e.shardObs.ObserveShardScan(telemetry.ShardScan{
-					Shard: i, Shards: len(stats),
-					Locals: st.Locals, Guests: st.Guests, Pairs: st.Pairs,
-				})
+		if e.obs != nil {
+			for _, st := range e.shardScan.Stats() {
+				e.obs.Count(telemetry.MShardScans, 1)
+				e.obs.Count(telemetry.MShardPairs, int64(st.Pairs))
+				e.obs.Count(telemetry.MShardGuests, int64(st.Guests))
+				e.obs.Observe(telemetry.MShardLocals, float64(st.Locals))
 			}
 		}
 		return e.pairScratch
@@ -716,8 +668,8 @@ const dueTickEps = 1e-7
 // dueTick maps a virtual due time onto the calendar's integer tick key:
 // the first tick whose now reaches at — the ceiling of the tick offset —
 // except within dueTickEps of an integer quotient, where float error could
-// over-round and fire a tick LATE (diverging from the legacy scan); there
-// it conservatively floors instead. A conservative-early pop is always
+// over-round and fire a tick LATE (after the vehicle came due); there it
+// conservatively floors instead. A conservative-early pop is always
 // safe: calendarDue re-checks nextTrain against now and re-enqueues.
 func (e *Engine) dueTick(at float64) int64 {
 	if at <= e.now {
@@ -740,34 +692,14 @@ func (e *Engine) reDueTick(at float64) int64 {
 	return e.tickIndex + 1
 }
 
-// legacyDueScan is the original O(fleet) due discovery: a serial scan of
-// every vehicle per tick. It is the -legacy-due-scan A/B arm and the
-// benchmark baseline the calendar queue is gated against; nothing else may
-// iterate the fleet in a per-tick hot path (internal/repolint enforces it).
-func (e *Engine) legacyDueScan(due []int32) []int32 {
-	for _, v := range e.Vehicles {
-		if v.nextTrain <= e.now {
-			if e.faults != nil && e.faults.Away(v.ID) {
-				// Departed vehicles skip their due steps: the model stays
-				// frozen (and stale on rejoin) but the schedule advances so
-				// they do not burst-train on return.
-				for v.nextTrain <= e.now {
-					v.nextTrain += e.Cfg.TrainInterval
-				}
-				continue
-			}
-			due = append(due, int32(v.ID))
-		}
-	}
-	return due
-}
-
 // calendarDue discovers the tick's due set by popping the calendar queue:
-// O(1) on an idle tick, O(due) otherwise. Popped ids arrive in ascending
-// vehicle order — the legacy scan's order — and each is re-checked against
-// its float due time: a conservative-early pop goes back on the wheel, and
-// a departed vehicle's schedule advances past now (exactly the legacy arm's
-// bookkeeping) before it is re-enqueued for its post-absence step — churn
+// O(1) on an idle tick, O(due) otherwise — the due set a per-tick scan of
+// the whole fleet would find, at none of its O(fleet) cost. Popped ids
+// arrive in ascending vehicle order and each is re-checked against its
+// float due time: a conservative-early pop goes back on the wheel, and a
+// departed vehicle's schedule advances past now before it is re-enqueued
+// for its post-absence step, so it skips its due steps (the model stays
+// frozen, and stale on rejoin) without burst-training on return — churn
 // moves wheel entries forward, it never strands or leaks them.
 func (e *Engine) calendarDue(due []int32) ([]int32, int) {
 	popped, buckets := e.calendar.PopDue(e.tickIndex, e.popScratch[:0])
@@ -844,13 +776,13 @@ func (e *Engine) stepDue(i int) {
 }
 
 // stepDueObserved is stepDue recording the vehicle's outcome (and wall
-// time, when a wall observer is attached) into index-addressed stepScratch
-// for trainTick's serial emission pass.
+// time, when the sink takes side-channel metrics) into index-addressed
+// stepScratch for trainTick's serial emission pass.
 func (e *Engine) stepDueObserved(i int) {
 	v := e.Vehicles[e.dueIDs[i]]
 	var out stepOutcome
 	var start time.Time
-	if e.wall != nil {
+	if e.obs != nil {
 		start = time.Now()
 	}
 	for v.nextTrain <= e.now {
@@ -861,7 +793,7 @@ func (e *Engine) stepDueObserved(i int) {
 		}
 		v.nextTrain += e.Cfg.TrainInterval
 	}
-	if e.wall != nil {
+	if e.obs != nil {
 		out.wallNs = time.Since(start).Nanoseconds()
 	}
 	e.stepScratch[i] = out
@@ -872,17 +804,11 @@ func (e *Engine) stepDueObserved(i int) {
 // vehicles train concurrently; training order across vehicles never mattered
 // (no shared state), so the result is bit-identical to the serial loop.
 func (e *Engine) trainTick() {
-	due := e.dueIDs[:0]
-	var buckets int
-	if e.calendar != nil {
-		due, buckets = e.calendarDue(due)
-	} else {
-		due = e.legacyDueScan(due)
-	}
+	due, buckets := e.calendarDue(e.dueIDs[:0])
 	e.dueIDs = due
 	if len(due) == 0 {
-		if e.schedObs != nil && e.calendar != nil {
-			e.schedObs.ObserveSchedTick(telemetry.SchedTick{BucketsTouched: buckets})
+		if e.obs != nil {
+			e.countSched(0, buckets, 0)
 		}
 		return
 	}
@@ -891,28 +817,23 @@ func (e *Engine) trainTick() {
 	// vehicle-index order so the stream is identical at every worker count.
 	// The two phase bodies are pre-bound methods (stepFn/stepObsFn), not
 	// per-tick closures, so a quiet tick allocates nothing.
-	observe := e.tel != nil || e.wall != nil
 	fn := e.stepFn
-	if observe {
+	if e.tel != nil {
 		if cap(e.stepScratch) < len(due) {
 			e.stepScratch = make([]stepOutcome, len(due))
 		}
 		fn = e.stepObsFn
 	}
 	batches := e.dispatchPhase(due, fn)
-	if e.schedObs != nil && e.calendar != nil {
-		e.schedObs.ObserveSchedTick(telemetry.SchedTick{
-			DueDequeued: len(due), BucketsTouched: buckets, ShardBatches: batches,
-		})
+	if e.obs != nil {
+		e.countSched(len(due), buckets, batches)
 	}
-	if e.calendar != nil {
-		// Re-enqueue each stepped vehicle at its next due tick, serially —
-		// the wheel is single-writer scratch like every engine index.
-		for _, id := range due {
-			e.calendar.Schedule(id, e.reDueTick(e.Vehicles[id].nextTrain))
-		}
+	// Re-enqueue each stepped vehicle at its next due tick, serially — the
+	// wheel is single-writer scratch like every engine index.
+	for _, id := range due {
+		e.calendar.Schedule(id, e.reDueTick(e.Vehicles[id].nextTrain))
 	}
-	if !observe {
+	if e.tel == nil {
 		return
 	}
 	for i, id := range due {
@@ -920,13 +841,20 @@ func (e *Engine) trainTick() {
 		if out.steps == 0 {
 			continue
 		}
-		if e.tel != nil {
-			e.tel.Emit(telemetry.TrainStep{Time: e.now, Vehicle: e.Vehicles[id].ID, Steps: out.steps, Loss: out.loss})
-		}
-		if e.wall != nil {
-			e.wall.ObserveTrainWall(out.wallNs)
+		e.tel.Emit(telemetry.TrainStep{Time: e.now, Vehicle: e.Vehicles[id].ID, Steps: out.steps, Loss: out.loss})
+		if e.obs != nil {
+			e.obs.Observe(telemetry.MTrainWallNs, float64(out.wallNs))
 		}
 	}
+}
+
+// countSched counts one phase's scheduling work — due vehicles dequeued,
+// wheel buckets examined, shard-major batches dispatched — on the Metrics
+// side channel; each call creates all three counters, zeros included.
+func (e *Engine) countSched(due, buckets, batches int) {
+	e.obs.Count(telemetry.MSchedDueDequeued, int64(due))
+	e.obs.Count(telemetry.MSchedBucketsTouched, int64(buckets))
+	e.obs.Count(telemetry.MSchedShardBatches, int64(batches))
 }
 
 // probeLossMean evaluates every vehicle on the probe set (in parallel — the
@@ -941,8 +869,8 @@ func (e *Engine) probeLossMean() float64 {
 	}
 	losses := e.lossScratch[:n]
 	batches := e.dispatchPhase(e.allIDs, e.probeFn)
-	if e.schedObs != nil && batches > 0 {
-		e.schedObs.ObserveSchedTick(telemetry.SchedTick{ShardBatches: batches})
+	if e.obs != nil && batches > 0 {
+		e.countSched(0, 0, batches)
 	}
 	var sum float64
 	for _, l := range losses {

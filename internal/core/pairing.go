@@ -19,8 +19,8 @@ type CandidatePair struct {
 // and mean neighborhood size k instead of O(F²). The index returns pairs in
 // the same canonical (A, B)-ascending order as the classic double loop and
 // confirms every candidate with the exact same distance comparison, so the
-// output — and any randomness score draws — is bit-identical to the
-// brute-force path (Cfg.DisableSpatialIndex, kept as the A/B reference).
+// output — and any randomness score draws — is bit-identical to an O(F²)
+// double loop over the free vehicles.
 func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 	now := e.now
 	free := e.freeScratch[:0]
@@ -39,17 +39,6 @@ func (e *Engine) CandidatePairs(score func(a, b int) float64) []CandidatePair {
 		if s := score(a, b); s > 0 {
 			out = append(out, CandidatePair{A: a, B: b, Score: s})
 		}
-	}
-	if e.Cfg.DisableSpatialIndex {
-		for ai := 0; ai < len(free); ai++ {
-			for bi := ai + 1; bi < len(free); bi++ {
-				if e.Distance(free[ai], free[bi]) > maxRange {
-					continue
-				}
-				emit(free[ai], free[bi])
-			}
-		}
-		return out
 	}
 	// One contiguous row read serves every free vehicle's position.
 	row := e.Trace.RowAt(now)

@@ -1,128 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"testing"
-
-	"lbchat/internal/faults"
-	"lbchat/internal/telemetry"
-)
-
-// encodeStream renders a memory sink's events as JSONL lines for
-// byte-comparison.
-func encodeStream(t *testing.T, mem *telemetry.MemorySink) [][]byte {
-	t.Helper()
-	events := mem.Events()
-	lines := make([][]byte, 0, len(events))
-	for _, ev := range events {
-		line, err := telemetry.Encode(ev)
-		if err != nil {
-			t.Fatalf("encoding %s: %v", ev.Kind(), err)
-		}
-		lines = append(lines, line)
-	}
-	return lines
-}
-
-// sameStream asserts two encoded event streams are byte-identical.
-func sameStream(t *testing.T, label string, got, want [][]byte) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d events vs %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("%s: event %d differs:\ngot:  %s\nwant: %s", label, i, got[i], want[i])
-		}
-	}
-}
-
-// TestCalendarDueMatchesLegacyScan is the scheduler's A/B acceptance
-// criterion at unit scale: the calendar-queue and legacy-due-scan arms must
-// produce byte-identical telemetry event streams and bit-identical loss
-// curves — the calendar changes how due vehicles are discovered, never
-// which vehicles are due or in what order they are surfaced.
-func TestCalendarDueMatchesLegacyScan(t *testing.T) {
-	run := func(legacy bool) ([][]byte, []float64) {
-		mem := telemetry.NewMemorySink()
-		eng, _ := tinyEnvWith(t, 3, true, func(c *Config) {
-			c.LegacyDueScan = legacy
-			c.Telemetry = mem
-		})
-		if err := eng.Run(NewLbChat(), 300); err != nil {
-			t.Fatal(err)
-		}
-		var curve []float64
-		for _, p := range eng.LossCurve.Points {
-			curve = append(curve, p.Value)
-		}
-		return encodeStream(t, mem), curve
-	}
-	calStream, calCurve := run(false)
-	legStream, legCurve := run(true)
-	if len(calStream) == 0 {
-		t.Fatal("calendar run emitted no events")
-	}
-	sameStream(t, "calendar vs legacy", calStream, legStream)
-	if len(calCurve) != len(legCurve) {
-		t.Fatalf("curve lengths %d vs %d", len(calCurve), len(legCurve))
-	}
-	for i := range calCurve {
-		if calCurve[i] != legCurve[i] {
-			t.Fatalf("curve point %d: %v vs %v", i, calCurve[i], legCurve[i])
-		}
-	}
-}
-
-// TestChurnRequeuesCalendarEntries proves departed vehicles are moved
-// forward on the wheel, not skipped forever and not stranded: under heavy
-// churn the calendar arm's event stream still matches the legacy scan byte
-// for byte (a departed vehicle's schedule advances identically in both
-// arms), at least one vehicle actually departed while due, and at the end
-// of the run every vehicle holds exactly one live future entry on the
-// wheel.
-func TestChurnRequeuesCalendarEntries(t *testing.T) {
-	churn := faults.Config{ChurnPerHour: 90, AwayMeanSecs: 60}
-	run := func(legacy bool) (*Engine, [][]byte) {
-		mem := telemetry.NewMemorySink()
-		eng, _ := tinyEnvWith(t, 3, true, func(c *Config) {
-			c.LegacyDueScan = legacy
-			c.Telemetry = mem
-			c.Faults = churn
-		})
-		if err := eng.Run(NewLbChat(), 300); err != nil {
-			t.Fatal(err)
-		}
-		return eng, encodeStream(t, mem)
-	}
-	calEng, calStream := run(false)
-	_, legStream := run(true)
-	sameStream(t, "churned calendar vs legacy", calStream, legStream)
-
-	departs := 0
-	for _, line := range calStream {
-		if bytes.Contains(line, []byte(telemetry.FaultChurnDepart)) {
-			departs++
-		}
-	}
-	if departs == 0 {
-		t.Fatal("churn regime produced no departures; the re-queue path was not exercised")
-	}
-	if got, want := calEng.calendar.Len(), len(calEng.Vehicles); got != want {
-		t.Fatalf("wheel holds %d scheduled vehicles after the run, want %d (one live entry each)",
-			got, want)
-	}
-	for _, v := range calEng.Vehicles {
-		tick, ok := calEng.calendar.Scheduled(int32(v.ID))
-		if !ok {
-			t.Fatalf("vehicle %d fell off the wheel", v.ID)
-		}
-		if tick < calEng.tickIndex {
-			t.Fatalf("vehicle %d scheduled at past tick %d (cursor %d): stranded behind the cursor",
-				v.ID, tick, calEng.tickIndex)
-		}
-	}
-}
+import "testing"
 
 // TestProbeLossMeanReusesScratch pins the satellite fix: steady-state probe
 // evaluations must reuse the engine-held loss scratch rather than allocate a

@@ -39,23 +39,22 @@ func benchEngine(b *testing.B, n int) *Engine {
 }
 
 // BenchmarkCandidatePairs measures per-tick pair enumeration at scaled
-// fleet sizes: the spatial-index fast path against the pre-index O(N²)
-// double loop (DisableSpatialIndex). BENCH_*.json tracks both so
-// cmd/bench-compare catches regressions on either.
+// fleet sizes: CandidatePairs (spatial index) against the O(N²) double-loop
+// oracle bruteCandidatePairs. BENCH_*.json tracks both so cmd/bench-compare
+// catches regressions on either.
 func BenchmarkCandidatePairs(b *testing.B) {
 	score := func(a, c int) float64 { return 1 }
 	for _, n := range []int{16, 64, 256} {
 		eng := benchEngine(b, n)
 		for _, path := range []struct {
-			name    string
-			disable bool
-		}{{"index", false}, {"brute", true}} {
+			name string
+			fn   func(*Engine, func(a, b int) float64) []CandidatePair
+		}{{"index", (*Engine).CandidatePairs}, {"brute", bruteCandidatePairs}} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, path.name), func(b *testing.B) {
-				eng.Cfg.DisableSpatialIndex = path.disable
 				b.ReportAllocs()
 				var pairs int
 				for i := 0; i < b.N; i++ {
-					pairs = len(eng.CandidatePairs(score))
+					pairs = len(path.fn(eng, score))
 				}
 				b.ReportMetric(float64(pairs), "pairs")
 			})

@@ -18,7 +18,7 @@ import (
 // ~1% of the fleet due per tick (the sparse steady state a real run sits
 // in), interval 1 makes the whole fleet due every tick (the dense worst
 // case).
-func benchTrainEngine(b *testing.B, n int, trainInterval float64, legacy bool) *Engine {
+func benchTrainEngine(b *testing.B, n int, trainInterval float64) *Engine {
 	b.Helper()
 	const densityCell = 250.0
 	side := densityCell * math.Sqrt(float64(n))
@@ -35,7 +35,6 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64, legacy bool) *
 	cfg := DefaultConfig()
 	cfg.TickSeconds = 1
 	cfg.TrainInterval = trainInterval
-	cfg.LegacyDueScan = legacy
 	// Tiny policies: the benchmark measures scheduling, and 10k full-size
 	// models would make setup (and its GC shadow in the timed region) the
 	// dominant cost.
@@ -43,9 +42,8 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64, legacy bool) *
 	cfg.Model.BEVChannels, cfg.Model.BEVHeight, cfg.Model.BEVWidth = 1, 2, 2
 	cfg.Model.Hidden = 2
 	cfg.Model.NumWaypoints = 1
-	// Serial dispatch isolates due discovery — the thing the two arms do
-	// differently — from goroutine fan-out cost, which is identical in both
-	// arms and drowns the scan at bench step sizes.
+	// Serial dispatch isolates due discovery from goroutine fan-out cost,
+	// which drowns it at bench step sizes.
 	cfg.Workers = 1
 	eng, err := NewEngine(cfg, tr, datasets, radio.NewModel(false), nil)
 	if err != nil {
@@ -54,34 +52,27 @@ func benchTrainEngine(b *testing.B, n int, trainInterval float64, legacy bool) *
 	return eng
 }
 
-// BenchmarkTrainTick measures per-tick due-vehicle discovery at scaled
-// fleet sizes: the calendar queue against the legacy O(N) fleet scan
-// (LegacyDueScan), at a sparse (1% due) and a dense (100% due) tick mix.
-// The sparse calendar arm is the headline number — empty and lightly-due
-// ticks are the common case, and the wheel makes them O(due) instead of
-// O(fleet). BENCH_*.json tracks all arms so cmd/bench-compare catches
-// regressions on either.
+// BenchmarkTrainTick measures per-tick due-vehicle discovery through the
+// calendar queue at scaled fleet sizes, at a sparse (1% due) and a dense
+// (100% due) tick mix. The sparse case is the headline number — empty and
+// lightly-due ticks are the common case, and the wheel makes them O(due)
+// instead of O(fleet).
 func BenchmarkTrainTick(b *testing.B) {
 	for _, n := range []int{1024, 10240} {
 		for _, due := range []struct {
 			name     string
 			interval float64
 		}{{"sparse", 100}, {"dense", 1}} {
-			for _, arm := range []struct {
-				name   string
-				legacy bool
-			}{{"calendar", false}, {"legacy", true}} {
-				b.Run(fmt.Sprintf("N=%d/due=%s/%s", n, due.name, arm.name), func(b *testing.B) {
-					eng := benchTrainEngine(b, n, due.interval, arm.legacy)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						eng.trainTick()
-						eng.now += eng.Cfg.TickSeconds
-						eng.tickIndex++
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("N=%d/due=%s/calendar", n, due.name), func(b *testing.B) {
+				eng := benchTrainEngine(b, n, due.interval)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.trainTick()
+					eng.now += eng.Cfg.TickSeconds
+					eng.tickIndex++
+				}
+			})
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestFullRebuildABDeterminism(t *testing.T) {
 }
 
 // TestCoresetTreeMetricsSideChannel asserts the incremental-refresh stats
-// reach the run summary through the CoresetObserver side channel — and stay
+// reach the run summary through the Metrics side channel — and stay
 // out of it entirely on the full-rebuild arm, whose reports must render
 // exactly as before the tree existed.
 func TestCoresetTreeMetricsSideChannel(t *testing.T) {

@@ -13,24 +13,18 @@ import (
 // bit-identical experiment metrics (loss curve, receive stats, final
 // parameters) at every shard count × worker count combination, with the
 // unsharded serial run as the reference. Per-shard scan stats flow through
-// the ShardObserver side channel, never the event stream, so the streams
-// must match even though shard counts differ.
-//
-// The grid additionally runs the legacy-due-scan scheduler arm at every
-// combination: unlike the coreset arms, the calendar queue and the legacy
-// scan must surface the same due vehicles in the same order, so BOTH arms
-// must match the single calendar reference stream byte for byte.
+// the Metrics side channel, never the event stream, so the streams must
+// match even though shard counts differ.
 func TestShardABDeterminism(t *testing.T) {
-	runWith := func(shards, workers int, legacyDueScan bool) (*ProtocolRun, [][]byte) {
+	runWith := func(shards, workers int) (*ProtocolRun, [][]byte) {
 		mem := telemetry.NewMemorySink()
 		env := envWithSink(t, mem)
 		run, err := env.RunProtocol(ProtoLbChat, false, func(c *core.Config) {
 			c.Shards = shards
 			c.Workers = workers
-			c.LegacyDueScan = legacyDueScan
 		})
 		if err != nil {
-			t.Fatalf("shards=%d workers=%d legacy=%v: %v", shards, workers, legacyDueScan, err)
+			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 		}
 		lines := make([][]byte, 0, mem.Len())
 		for _, ev := range mem.Events() {
@@ -43,29 +37,27 @@ func TestShardABDeterminism(t *testing.T) {
 		return run, lines
 	}
 
-	refRun, refStream := runWith(1, 1, false)
+	refRun, refStream := runWith(1, 1)
 	if len(refStream) == 0 {
 		t.Fatal("unsharded reference run emitted no events")
 	}
-	for _, legacy := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4, 8} {
-				if shards == 1 && workers == 1 && !legacy {
-					continue
-				}
-				run, stream := runWith(shards, workers, legacy)
-				if len(stream) != len(refStream) {
-					t.Fatalf("shards=%d workers=%d legacy=%v: %d events, reference %d",
-						shards, workers, legacy, len(stream), len(refStream))
-				}
-				for i := range stream {
-					if !bytes.Equal(stream[i], refStream[i]) {
-						t.Fatalf("shards=%d workers=%d legacy=%v: event %d differs:\ngot:       %s\nreference: %s",
-							shards, workers, legacy, i, stream[i], refStream[i])
-					}
-				}
-				sameRun(t, "vs calendar serial unsharded", run, refRun)
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4, 8} {
+			if shards == 1 && workers == 1 {
+				continue
 			}
+			run, stream := runWith(shards, workers)
+			if len(stream) != len(refStream) {
+				t.Fatalf("shards=%d workers=%d: %d events, reference %d",
+					shards, workers, len(stream), len(refStream))
+			}
+			for i := range stream {
+				if !bytes.Equal(stream[i], refStream[i]) {
+					t.Fatalf("shards=%d workers=%d: event %d differs:\ngot:       %s\nreference: %s",
+						shards, workers, i, stream[i], refStream[i])
+				}
+			}
+			sameRun(t, "vs serial unsharded", run, refRun)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func getStreamedEnv(t *testing.T) *Env {
 // byte-identical telemetry event stream and bit-identical experiment metrics
 // (loss curve, receive stats, final parameters) as the resident-trace run, at
 // every shard count × worker count combination. Chunk loads/evicts/prefetches
-// flow through the TraceObserver side channel, never the event stream, so the
+// flow through the Metrics side channel, never the event stream, so the
 // streams must match even though one run pages chunks and the other holds the
 // whole trace.
 func TestStreamABDeterminism(t *testing.T) {

@@ -11,5 +11,5 @@
 // scheduler (DESIGN.md §15): a power-of-two ring of buckets keyed by
 // (dueTick, vehicleID) with lazy deletion, so an empty tick costs O(1) and a
 // tick with k due vehicles costs O(k) — replacing the per-tick O(fleet) scan,
-// which the engine keeps behind -legacy-due-scan as a byte-identical A/B arm.
+// which survives only as the engine tests' per-tick oracle.
 package sched

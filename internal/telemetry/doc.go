@@ -14,9 +14,10 @@
 //     clock, and are emitted in deterministic order (parallel phases buffer
 //     per-vehicle results and emit in vehicle-index order). The event stream
 //     of a run is therefore bit-identical at every worker count. Wall-clock
-//     measurements exist only as histogram aggregates behind the separate
-//     WallObserver interface, which the JSONL sink deliberately does not
-//     implement.
+//     measurements and engine internals (shard, scheduler, coreset-cache
+//     and trace-window statistics) exist only as Summary aggregates behind
+//     the separate Metrics side channel, which the JSONL sink deliberately
+//     does not implement.
 //  3. Telemetry never consumes simulation randomness and never feeds values
 //     back into the simulation.
 //

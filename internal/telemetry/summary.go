@@ -84,19 +84,19 @@ func KnownMetrics() []string {
 	}
 }
 
-// Fixed bucket edges for the Summary histograms. Fixed across runs so
-// per-protocol summaries are directly comparable.
-var (
-	psiEdges      = []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1}
-	elapsedEdges  = []float64{1, 2, 5, 10, 15, 20}
-	bytesEdges    = []float64{1e4, 1e5, 1e6, 5e6, 1e7, 5e7}
-	contactEdges  = []float64{5, 15, 30, 60, 120, 300}
-	wPeerEdges    = []float64{0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
-	trainNsEdges  = []float64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-	localsEdges   = []float64{16, 64, 256, 1024, 4096, 16384}
-	residentEdges = []float64{1, 2, 3, 4, 6, 8, 16}
-	depthEdges    = []float64{1, 2, 3, 4, 6, 8, 16}
-)
+// histEdges holds the fixed bucket edges of every Summary histogram, fixed
+// across runs so per-protocol summaries are directly comparable.
+var histEdges = map[string][]float64{
+	MChatPsi:            {0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1},
+	MChatElapsedS:       {1, 2, 5, 10, 15, 20},
+	MTransferBytes:      {1e4, 1e5, 1e6, 5e6, 1e7, 5e7},
+	MContactDuration:    {5, 15, 30, 60, 120, 300},
+	MAggWPeer:           {0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9},
+	MTrainWallNs:        {1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
+	MShardLocals:        {16, 64, 256, 1024, 4096, 16384},
+	MTraceResident:      {1, 2, 3, 4, 6, 8, 16},
+	MTracePrefetchDepth: {1, 2, 3, 4, 6, 8, 16},
+}
 
 // Summary is the always-cheap aggregating sink: it folds the event stream
 // into a Registry of counters and fixed-bucket histograms and keeps the
@@ -130,11 +130,11 @@ func (s *Summary) Emit(ev Event) {
 		s.Reg.Inc(MChatInitiated, 1)
 	case ChatCompleted:
 		s.Reg.Inc(MChatCompleted, 1)
-		s.Reg.Observe(MChatElapsedS, elapsedEdges, e.Elapsed)
+		s.Observe(MChatElapsedS, e.Elapsed)
 	case ChatAborted:
 		s.Reg.Inc(MChatAborted, 1)
 	case CompressionChosen:
-		s.Reg.Observe(MChatPsi, psiEdges, e.Psi)
+		s.Observe(MChatPsi, e.Psi)
 	case Transfer:
 		switch e.Payload {
 		case PayloadCoreset:
@@ -155,10 +155,10 @@ func (s *Summary) Emit(ev Event) {
 		if !e.Completed {
 			s.Reg.Inc(MTransferTruncate, 1)
 		}
-		s.Reg.Observe(MTransferBytes, bytesEdges, float64(e.BytesRequested))
+		s.Observe(MTransferBytes, float64(e.BytesRequested))
 	case Aggregation:
 		s.Reg.Inc(MAggregations, 1)
-		s.Reg.Observe(MAggWPeer, wPeerEdges, e.WPeer)
+		s.Observe(MAggWPeer, e.WPeer)
 	case CoresetAbsorbed:
 		s.Reg.Inc(MCoresetAbsorbFrames, int64(e.Frames))
 	case CoresetEvicted:
@@ -168,7 +168,7 @@ func (s *Summary) Emit(ev Event) {
 	case ContactOpen:
 		s.Reg.Inc(MContactsOpened, 1)
 	case ContactClose:
-		s.Reg.Observe(MContactDuration, contactEdges, e.Duration)
+		s.Observe(MContactDuration, e.Duration)
 	case TrainStep:
 		s.Reg.Inc(MTrainSteps, int64(e.Steps))
 	case LossRecorded:
@@ -185,61 +185,12 @@ func (s *Summary) Emit(ev Event) {
 	}
 }
 
-// ObserveTrainWall implements WallObserver: wall time lives only in this
-// aggregate histogram, never in the event stream.
-func (s *Summary) ObserveTrainWall(nanos int64) {
-	s.Reg.Observe(MTrainWallNs, trainNsEdges, float64(nanos))
-}
+// Count implements Metrics: side-channel values live only in these
+// aggregates, never in the event stream.
+func (s *Summary) Count(name string, delta int64) { s.Reg.Inc(name, delta) }
 
-// ObserveShardScan implements ShardObserver: shard topology lives only in
-// these aggregates, never in the event stream, so event output stays
-// byte-identical across shard counts.
-func (s *Summary) ObserveShardScan(scan ShardScan) {
-	s.Reg.Inc(MShardScans, 1)
-	s.Reg.Inc(MShardPairs, int64(scan.Pairs))
-	s.Reg.Inc(MShardGuests, int64(scan.Guests))
-	s.Reg.Observe(MShardLocals, localsEdges, float64(scan.Locals))
-}
-
-// ObserveSchedTick implements SchedObserver: calendar-queue and batching
-// internals live only in these aggregates, never in the event stream, so
-// the calendar and legacy-due-scan arms emit byte-identical events.
-func (s *Summary) ObserveSchedTick(t SchedTick) {
-	s.Reg.Inc(MSchedDueDequeued, int64(t.DueDequeued))
-	s.Reg.Inc(MSchedBucketsTouched, int64(t.BucketsTouched))
-	s.Reg.Inc(MSchedShardBatches, int64(t.ShardBatches))
-}
-
-// ObserveCoresetRefresh implements CoresetObserver: incremental-refresh
-// cache behavior lives only in these aggregates, never in the event stream,
-// so the incremental and full-rebuild arms emit identically-shaped events.
-func (s *Summary) ObserveCoresetRefresh(r CoresetRefresh) {
-	s.Reg.Inc(MCoresetLeavesRebuilt, int64(r.LeavesRebuilt))
-	s.Reg.Inc(MCoresetLeavesCached, int64(r.LeavesCached))
-	s.Reg.Inc(MCoresetTreeMerges, int64(r.TreeMerges))
-}
-
-// ObserveTraceChunk implements TraceObserver: streaming-window chunk
-// traffic lives only in these aggregates, never in the event stream, so
-// streamed and resident runs emit byte-identical events.
-func (s *Summary) ObserveTraceChunk(op TraceChunk) {
-	switch op.Op {
-	case "load":
-		s.Reg.Inc(MTraceLoads, 1)
-		if op.Retries > 0 {
-			s.Reg.Inc(MTraceFetchRetries, int64(op.Retries))
-		}
-		if op.WaitNs > 0 {
-			s.Reg.Inc(MTraceFetchWaitNs, op.WaitNs)
-		}
-	case "evict":
-		s.Reg.Inc(MTraceEvicts, 1)
-	case "prefetch":
-		s.Reg.Inc(MTracePrefetches, 1)
-		s.Reg.Observe(MTracePrefetchDepth, depthEdges, float64(op.Depth))
-	}
-	s.Reg.Observe(MTraceResident, residentEdges, float64(op.Resident))
-}
+// Observe implements Metrics, bucketing v by the histogram's histEdges row.
+func (s *Summary) Observe(name string, v float64) { s.Reg.Observe(name, histEdges[name], v) }
 
 // Close implements Sink (no-op).
 func (s *Summary) Close() error { return nil }

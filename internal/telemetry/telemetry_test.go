@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,7 +103,7 @@ func TestSummaryAggregation(t *testing.T) {
 	s.Emit(Aggregation{Time: 11, Vehicle: 1, WSelf: 0.4, WPeer: 0.6})
 	s.Emit(TrainStep{Time: 12, Vehicle: 0, Steps: 2, Loss: 0.5})
 	s.Emit(LossRecorded{Time: 60, Loss: 0.42})
-	s.ObserveTrainWall(5_000_000)
+	s.Observe(MTrainWallNs, 5_000_000)
 
 	if s.Protocol != "LbChat" || !s.Lossless {
 		t.Errorf("run identity: %q lossless=%v", s.Protocol, s.Lossless)
@@ -149,11 +151,11 @@ func TestMemorySinkAndTee(t *testing.T) {
 	if _, _, aborted := s.Chats(); aborted != 1 {
 		t.Error("summary member did not aggregate")
 	}
-	// Wall observations route only to WallObserver members.
-	if w, ok := tee.(WallObserver); !ok {
-		t.Fatal("tee with a Summary member must expose WallObserver")
+	// Side-channel metrics route only to Metrics members.
+	if m, ok := tee.(Metrics); !ok {
+		t.Fatal("tee with a Summary member must expose Metrics")
 	} else {
-		w.ObserveTrainWall(1000)
+		m.Observe(MTrainWallNs, 1000)
 	}
 	if h := s.Reg.Hist(MTrainWallNs); h == nil || h.N != 1 {
 		t.Error("wall observation not forwarded")
@@ -174,5 +176,73 @@ func TestMemorySinkAndTee(t *testing.T) {
 	}
 	if got := Tee(nil, nil); got != nil {
 		t.Error("empty tee must be nil")
+	}
+}
+
+// TestMetricsSideChannel pins the side channel's contract: Count and
+// Observe through a Tee reach only the members that implement Metrics, a
+// JSONL member's output is byte-identical with or without side-channel
+// traffic, every histogram in the edges table is a known metric, and a
+// zero-delta Count still creates its counter (so CSV dumps list it).
+func TestMetricsSideChannel(t *testing.T) {
+	events := []Event{
+		RunStarted{Protocol: "LbChat"},
+		TrainStep{Time: 1, Vehicle: 0, Steps: 1, Loss: 0.5},
+		ContactOpen{Time: 2, A: 0, B: 1},
+	}
+	var plain bytes.Buffer
+	pj := NewJSONL(&plain)
+	for _, ev := range events {
+		pj.Emit(ev)
+	}
+	if err := pj.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var teed bytes.Buffer
+	mem, a, b := NewMemorySink(), NewSummary(), NewSummary()
+	tee := Tee(NewJSONL(&teed), mem, a, b)
+	m, ok := tee.(Metrics)
+	if !ok {
+		t.Fatal("tee must expose Metrics")
+	}
+	for _, ev := range events {
+		tee.Emit(ev)
+		m.Count(MShardPairs, 3)
+		m.Observe(MShardLocals, 20)
+	}
+	if err := tee.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(teed.Bytes(), plain.Bytes()) {
+		t.Errorf("JSONL output changed by side-channel traffic:\n%s\nwant:\n%s", teed.Bytes(), plain.Bytes())
+	}
+	if mem.Len() != len(events) {
+		t.Errorf("memory sink holds %d events, want %d", mem.Len(), len(events))
+	}
+	for _, s := range []*Summary{a, b} {
+		if got := s.Reg.Counter(MShardPairs); got != 9 {
+			t.Errorf("summary counter %s = %d, want 9", MShardPairs, got)
+		}
+		if h := s.Reg.Hist(MShardLocals); h == nil || h.N != 3 || h.Counts[1] != 3 {
+			t.Errorf("summary histogram %s = %+v, want 3 observations in [16, 64)", MShardLocals, h)
+		}
+	}
+
+	known := KnownMetrics()
+	for name := range histEdges {
+		if !slices.Contains(known, name) {
+			t.Errorf("histogram %q has edges but is not in KnownMetrics", name)
+		}
+	}
+
+	s := NewSummary()
+	s.Count(MSchedShardBatches, 0)
+	var csv strings.Builder
+	if err := s.Reg.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if want := "counter," + MSchedShardBatches + ",,0\n"; csv.String() != want {
+		t.Errorf("zero-delta Count rendered %q, want %q", csv.String(), want)
 	}
 }

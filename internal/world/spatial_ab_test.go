@@ -20,7 +20,7 @@ func twinWorlds(t *testing.T, spawn SpawnConfig) (indexed, brute *World) {
 		if err != nil {
 			t.Fatalf("world.New: %v", err)
 		}
-		w.DisableSpatialIndex = disable
+		w.bruteScan = disable
 		return w
 	}
 	return build(false), build(true)

@@ -20,7 +20,7 @@ func benchWorld(b *testing.B, n int, disableIndex bool) *World {
 	if err != nil {
 		b.Fatalf("world.New: %v", err)
 	}
-	w.DisableSpatialIndex = disableIndex
+	w.bruteScan = disableIndex
 	return w
 }
 

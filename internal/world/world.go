@@ -43,11 +43,11 @@ type World struct {
 	// Time is the current simulation time in seconds.
 	Time float64
 
-	// DisableSpatialIndex forces every proximity query down the pre-index
-	// O(N) entity scans (DESIGN.md §10). Query results are identical either
-	// way — the flag is the A/B reference for determinism tests and the
-	// brute-force benchmark baseline.
-	DisableSpatialIndex bool
+	// bruteScan forces every proximity query down the pre-index O(N) entity
+	// scans (DESIGN.md §10). Query results are identical either way; only
+	// this package's tests set it, as the reference for the trajectory and
+	// BEV A/B tests and the brute-force benchmark baseline.
+	bruteScan bool
 
 	// vehIndex holds routed cars (Experts then Background, parallel to
 	// idxVehicles); pedIndex holds pedestrians. Both are rebuilt at the top
@@ -116,7 +116,7 @@ func New(m *Map, spawn SpawnConfig, rng *simrand.Rand) (*World, error) {
 }
 
 // useIndex reports whether queries should go through the spatial indices.
-func (w *World) useIndex() bool { return !w.DisableSpatialIndex }
+func (w *World) useIndex() bool { return !w.bruteScan }
 
 // InvalidateIndex discards the spatial indices so the next query rebuilds
 // them. Call it after mutating entity positions outside Step (e.g. teleport
